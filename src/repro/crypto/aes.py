@@ -170,11 +170,6 @@ class AES:
         fixed.  One call amortizes attribute lookups and the round-key
         fetch over the whole buffer — this is the CTR/GCM hot loop.
         """
-        from . import _numpy as _nx
-
-        if _nx.HAVE_NUMPY and nblocks >= _nx.AES_MIN_BLOCKS:
-            return bytearray(_nx.aes_keystream(
-                self._round_keys, self.rounds, counter, nblocks, step_mask))
         encrypt_words = self._encrypt_words
         out = bytearray(16 * nblocks)
         fixed = counter & ~step_mask
@@ -195,18 +190,13 @@ class AES:
     def encrypt_blocks(self, blocks) -> bytes:
         """ECB-encrypt a buffer of concatenated 16-byte blocks.
 
-        The blocks are independent, so this path vectorizes across them
+        The blocks are independent, so one call covers the whole buffer
         (unlike a chained mode's sequential per-block loop).  Used by CFB
         decryption, where every keystream input is a known ciphertext
         block.
         """
         if len(blocks) % BLOCK_SIZE:
             raise ValueError("buffer must be a multiple of 16 bytes")
-        from . import _numpy as _nx
-
-        nblocks = len(blocks) // BLOCK_SIZE
-        if _nx.HAVE_NUMPY and nblocks >= _nx.AES_MIN_BLOCKS:
-            return _nx.aes_batch_encrypt(self._round_keys, self.rounds, blocks)
         encrypt_words = self._encrypt_words
         out = bytearray(len(blocks))
         for pos in range(0, len(blocks), 16):

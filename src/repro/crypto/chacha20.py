@@ -3,10 +3,10 @@
 Shadowsocks uses ``chacha20-ietf`` as a stream cipher (12-byte IV) and
 ChaCha20 as the keystream half of ``chacha20-ietf-poly1305``.  The round
 function is inlined and unrolled, keystream is generated a whole buffer
-of blocks per call (vectorized across blocks when numpy is available)
-and consumed through a cursor, and the XOR runs over the whole buffer —
-this cipher carries the bulk of the simulated tunnel traffic, so
-per-block and per-byte overhead matter.
+of blocks per call and consumed through a cursor, and the XOR runs over
+the whole buffer as one big-integer operation — this cipher carries the
+bulk of the simulated tunnel traffic, so per-block and per-byte overhead
+matter.
 """
 
 from __future__ import annotations
@@ -14,12 +14,20 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 
-from . import _numpy as _nx
-
-__all__ = ["chacha20_block", "ChaCha20"]
+__all__ = ["chacha20_block", "ChaCha20", "xor_bytes"]
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 _M = 0xFFFFFFFF
+
+
+def xor_bytes(a, b) -> bytes:
+    """XOR two equal-length byte strings as one big-integer operation.
+
+    Shared by every keystream consumer (ChaCha, CTR, CFB, RC4, GCM).
+    """
+    n = len(a)
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+
 
 def _run_rounds(init: list) -> bytes:
     """20 ChaCha rounds over ``init``; returns the serialized block.
@@ -76,22 +84,6 @@ def _run_rounds(init: list) -> bytes:
     )
 
 
-def _quarter_round(state: list, a: int, b: int, c: int, d: int) -> None:
-    """Reference quarter round (kept for the DJB variant and tests)."""
-    state[a] = (state[a] + state[b]) & _M
-    state[d] = _rotl32(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _M
-    state[b] = _rotl32(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _M
-    state[d] = _rotl32(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _M
-    state[b] = _rotl32(state[b] ^ state[c], 7)
-
-
-def _rotl32(v: int, c: int) -> int:
-    return ((v << c) | (v >> (32 - c))) & _M
-
-
 @lru_cache(maxsize=4096)
 def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
     """One 64-byte ChaCha20 keystream block (RFC 8439 §2.3).
@@ -142,7 +134,7 @@ class _KeystreamCipher:
                 self._pos = 0
             self._ks += fresh
         ks = memoryview(self._ks)[self._pos : self._pos + n]
-        out = _nx.xor_bytes(data, ks)
+        out = xor_bytes(data, ks)
         ks.release()
         self._pos += n
         if self._pos == len(self._ks):
@@ -172,8 +164,6 @@ class ChaCha20(_KeystreamCipher):
     def _blocks(self, nblocks: int) -> bytes:
         counter = self._counter
         self._counter += nblocks
-        if _nx.HAVE_NUMPY and nblocks >= _nx.CHACHA_MIN_BLOCKS:
-            return _nx.chacha_blocks(self._init, counter, nblocks, djb=False)
         init = self._init
         parts = []
         for i in range(nblocks):

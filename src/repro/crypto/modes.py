@@ -16,8 +16,8 @@ themselves — so it encrypts them as one batch.
 
 from __future__ import annotations
 
-from ._numpy import xor_bytes
 from .aes import AES, BLOCK_SIZE
+from .chacha20 import xor_bytes
 
 __all__ = ["CTRMode", "CFBMode"]
 

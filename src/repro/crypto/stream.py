@@ -19,8 +19,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-from . import _numpy as _nx
-from .chacha20 import _CONSTANTS, _KeystreamCipher, _quarter_round, _run_rounds
+from .chacha20 import _CONSTANTS, _KeystreamCipher, _run_rounds, xor_bytes
 
 __all__ = ["RC4", "ChaCha20DJB", "new_stream_cipher"]
 
@@ -56,30 +55,10 @@ class RC4:
             s[j] = sj
             ks[pos] = s[(si + sj) & 0xFF]
         self._i, self._j = i, j
-        return _nx.xor_bytes(data, ks)
+        return xor_bytes(data, ks)
 
     encrypt = process
     decrypt = process
-
-
-def _chacha20_block_djb(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """Original ChaCha20 block: 64-bit counter, 64-bit nonce."""
-    init = list(_CONSTANTS)
-    init.extend(struct.unpack("<8L", key))
-    init.append(counter & 0xFFFFFFFF)
-    init.append((counter >> 32) & 0xFFFFFFFF)
-    init.extend(struct.unpack("<2L", nonce))
-    state = list(init)
-    for _ in range(10):
-        _quarter_round(state, 0, 4, 8, 12)
-        _quarter_round(state, 1, 5, 9, 13)
-        _quarter_round(state, 2, 6, 10, 14)
-        _quarter_round(state, 3, 7, 11, 15)
-        _quarter_round(state, 0, 5, 10, 15)
-        _quarter_round(state, 1, 6, 11, 12)
-        _quarter_round(state, 2, 7, 8, 13)
-        _quarter_round(state, 3, 4, 9, 14)
-    return struct.pack("<16L", *((s + i) & 0xFFFFFFFF for s, i in zip(state, init)))
 
 
 class ChaCha20DJB(_KeystreamCipher):
@@ -100,8 +79,6 @@ class ChaCha20DJB(_KeystreamCipher):
     def _blocks(self, nblocks: int) -> bytes:
         counter = self._counter
         self._counter += nblocks
-        if _nx.HAVE_NUMPY and nblocks >= _nx.CHACHA_MIN_BLOCKS:
-            return _nx.chacha_blocks(self._init, counter, nblocks, djb=True)
         init = self._init
         parts = []
         for i in range(nblocks):

@@ -295,7 +295,7 @@ class JobManager:
         self._m_jobs.inc(state=state)
         self._m_active.dec()
         if self.bridge is not None:
-            self.bridge.close_stream(job.id)
+            self.bridge.finish_stream(job.id, job.records_forwarded)
 
     def _evict_old(self) -> None:
         """Bound the in-memory job table: drop oldest *terminal* jobs."""

@@ -30,8 +30,10 @@ with ``: keepalive`` comment lines during quiet stretches and a final ::
     data: {"job": "<id>", "state": "done", "streamed": N, "dropped": M}
 
 block once the job reaches a terminal state and its stream drains.
-Subscribers joining late replay the job's bounded record buffer first,
-so a fast job's records are still observable after it finished.
+``dropped`` is this subscriber's own count, so ``streamed`` equals the
+records it received plus ``dropped``.  Subscribers joining late replay
+the job's bounded record buffer first, so a fast job's records are
+still observable after it finished.
 """
 
 from __future__ import annotations
@@ -322,7 +324,7 @@ class ControlPlane:
                 await writer.drain()
             end = {"job": job.id, "state": job.state,
                    "streamed": job.stream.received,
-                   "dropped": job.stream.dropped}
+                   "dropped": queue.dropped}
             writer.write(b"event: end\ndata: "
                          + canonical_json(end).encode("utf-8") + b"\n\n")
             await writer.drain()

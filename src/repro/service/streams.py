@@ -29,6 +29,14 @@ per-subscriber and in the ``repro_records_dropped_total`` metric)
 rather than stalling the bridge or its peers.  Each job also keeps a
 bounded replay buffer of its most recent records so a client that
 subscribes moments after the job finished still sees the tail.
+
+Closing: the pool future of a job can complete while the bridge still
+holds unread lines from its worker, so a job reaching a terminal state
+does not close its stream by itself.  :meth:`JobStream.finish` records
+how many records the worker reported forwarding, and the stream closes
+once all of them have arrived or the worker connection has reached EOF,
+whichever comes first.  Every subscriber therefore accounts for every
+record: ``received == delivered + dropped`` per subscriber.
 """
 
 from __future__ import annotations
@@ -41,13 +49,48 @@ from typing import Any, AsyncIterator, Deque, Dict, Optional, Set
 
 from .metrics import MetricsRegistry
 
-__all__ = ["JobStream", "RecordBridge", "WorkerRecordSink"]
+__all__ = ["JobStream", "RecordBridge", "Subscription", "WorkerRecordSink"]
 
 # Per-subscriber queue depth: beyond this, new records are dropped for
 # that subscriber only (slow-consumer policy).
 SUBSCRIBER_QUEUE_DEPTH = 1024
 # Most-recent records replayed to late subscribers.
 REPLAY_BUFFER_DEPTH = 512
+
+
+class Subscription(asyncio.Queue[Optional[Dict[str, Any]]]):
+    """One consumer's bounded record queue and its own drop count.
+
+    Yields record dicts, then a ``None`` sentinel once the stream has
+    closed.  ``dropped`` counts every record of the stream this consumer
+    will never get: overflow of its queue, and records evicted from the
+    replay buffer before it subscribed.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(maxsize=SUBSCRIBER_QUEUE_DEPTH)
+        self.dropped = 0
+
+    def offer(self, record: Dict[str, Any]) -> bool:
+        """Enqueue without waiting; False (and counted) when full."""
+        try:
+            self.put_nowait(record)
+        except asyncio.QueueFull:
+            self.dropped += 1
+            return False
+        return True
+
+    def end(self) -> int:
+        """Enqueue the sentinel, evicting the oldest record if full.
+
+        Returns the number of records evicted (0 or 1).
+        """
+        evicted = int(self.full())
+        if evicted:
+            self.get_nowait()
+            self.dropped += 1
+        self.put_nowait(None)
+        return evicted
 
 
 class JobStream:
@@ -62,22 +105,48 @@ class JobStream:
         self.dropped = 0           # records dropped across all subscribers
         self.truncated = 0         # records evicted from the replay buffer
         self.closed = False
-        self._subscribers: Set["asyncio.Queue[Optional[Dict[str, Any]]]"] = set()
+        self.expected: Optional[int] = None  # set by finish()
+        self.worker_done = False   # the worker connection reached EOF
+        self._subscribers: Set[Subscription] = set()
 
     def publish(self, record: Dict[str, Any]) -> int:
-        """Route one record; returns how many subscribers dropped it."""
+        """Route one record; returns how many subscribers dropped it.
+
+        A closed stream takes no more records: its subscribers already
+        have their sentinel and its counts are final.
+        """
+        if self.closed:
+            return 0
         self.received += 1
         if self.buffer.maxlen and len(self.buffer) == self.buffer.maxlen:
             self.truncated += 1
         self.buffer.append(record)
         dropped = 0
         for queue in self._subscribers:
-            try:
-                queue.put_nowait(record)
-            except asyncio.QueueFull:
+            if not queue.offer(record):
                 dropped += 1
         self.dropped += dropped
+        self._close_if_drained()
         return dropped
+
+    def finish(self, expected: int) -> None:
+        """The job is terminal and its worker forwarded ``expected`` records.
+
+        The stream closes as soon as those records have all arrived or
+        the worker connection has ended.
+        """
+        self.expected = expected
+        self._close_if_drained()
+
+    def end_of_worker(self) -> None:
+        """The worker's bridge connection reached EOF."""
+        self.worker_done = True
+        self._close_if_drained()
+
+    def _close_if_drained(self) -> None:
+        if self.expected is not None and (
+                self.worker_done or self.received >= self.expected):
+            self.close()
 
     def close(self) -> None:
         """No more records will arrive; wake every subscriber with EOF."""
@@ -85,35 +154,22 @@ class JobStream:
             return
         self.closed = True
         for queue in self._subscribers:
-            try:
-                queue.put_nowait(None)
-            except asyncio.QueueFull:
-                pass  # the sentinel also comes from subscribe()'s refill
+            self.dropped += queue.end()
 
-    def subscribe(self) -> "asyncio.Queue[Optional[Dict[str, Any]]]":
-        """Attach a consumer: replay the buffer, then live records.
-
-        The queue yields record dicts and a ``None`` sentinel once the
-        job is finished and the stream drained.
-        """
-        queue: "asyncio.Queue[Optional[Dict[str, Any]]]" = asyncio.Queue(
-            maxsize=SUBSCRIBER_QUEUE_DEPTH)
+    def subscribe(self) -> Subscription:
+        """Attach a consumer: replay the buffer, then live records."""
+        queue = Subscription()
+        queue.dropped = self.truncated
         for record in self.buffer:
-            try:
-                queue.put_nowait(record)
-            except asyncio.QueueFull:
+            if not queue.offer(record):
                 self.dropped += 1
         if self.closed:
-            try:
-                queue.put_nowait(None)
-            except asyncio.QueueFull:
-                pass
+            self.dropped += queue.end()
         else:
             self._subscribers.add(queue)
         return queue
 
-    def unsubscribe(self,
-                    queue: "asyncio.Queue[Optional[Dict[str, Any]]]") -> None:
+    def unsubscribe(self, queue: Subscription) -> None:
         self._subscribers.discard(queue)
 
     @property
@@ -159,10 +215,11 @@ class RecordBridge:
             stream = self._streams[job_id] = JobStream(job_id)
         return stream
 
-    def close_stream(self, job_id: str) -> None:
+    def finish_stream(self, job_id: str, expected: int) -> None:
+        """Close one job's stream once its ``expected`` records are in."""
         stream = self._streams.get(job_id)
         if stream is not None:
-            stream.close()
+            stream.finish(expected)
 
     def forget_stream(self, job_id: str) -> None:
         stream = self._streams.pop(job_id, None)
@@ -200,10 +257,8 @@ class RecordBridge:
             pass  # worker died mid-line; the job result reports the error
         finally:
             writer.close()
-            # The stream stays open: the job may keep running (e.g. the
-            # worker reconnects per seed is not a thing today, but the
-            # manager owns the close when the job reaches a terminal
-            # state, not the socket lifetime).
+            if stream is not None:
+                stream.end_of_worker()
 
 
 async def _lines(reader: asyncio.StreamReader) -> AsyncIterator[bytes]:

@@ -1,8 +1,8 @@
 """Fast path vs retained reference: byte-identical for every cipher.
 
-The optimized implementations (T-table AES, table-driven GHASH, batched
-CTR/CFB/ChaCha keystream, chunked Poly1305, numpy-vectorized batch
-paths) must be indistinguishable from the originals kept in
+The optimized pure-Python implementations (T-table AES, table-driven
+GHASH, batched CTR/CFB/ChaCha keystream, whole-buffer XOR, chunked
+Poly1305) must be indistinguishable from the originals kept in
 ``repro.crypto._reference`` — over random keys, nonces, message sizes,
 and arbitrary chunked-vs-whole call patterns, through both the direct
 classes and the ``REPRO_CRYPTO`` backend switch.

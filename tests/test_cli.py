@@ -1,5 +1,9 @@
 """The command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -50,6 +54,22 @@ def test_quickstart_command(capsys):
     out = capsys.readouterr().out
     assert "connections: 4" in out
     assert "flagged:" in out
+
+
+def test_quickstart_imports_no_numpy():
+    # The crypto substrate is pure Python by design; a fresh interpreter
+    # running a whole scenario must never pull numpy in, even where it is
+    # installed.
+    code = ("import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['quickstart', '--connections', '8']) == 0\n"
+            "print('numpy-loaded' if 'numpy' in sys.modules else 'numpy-absent')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy-absent"
 
 
 def test_blocking_command(capsys):

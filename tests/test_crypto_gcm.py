@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto import AESGCM, AuthenticationError
+from repro.crypto._reference import ReferenceAESGCM
 
 
 def test_nist_case1_empty():
@@ -76,15 +77,15 @@ def test_wrong_aad_rejected():
         box.open(bytes(12), sealed, b"wrong")
 
 
-# The vectorized GHASH (stride-8 chunk sums, engaged for records of
-# GHASH_MIN_BLOCKS blocks and up) must agree with the scalar table walk
-# on every size around the engagement threshold and chunk remainders.
+# Multi-KiB records: sizes around 128 blocks, odd block counts and
+# partial tail blocks, up to 64 KiB, all checked against the per-bit
+# GHASH and FIPS 197 AES of the retained reference implementation.
 
 
 @pytest.fixture
 def no_record_cache():
-    # The global record memo would satisfy the second seal()/open() from
-    # the first box's result, so the scalar walk would never execute.
+    # The global record memo would answer open() from the seal() it just
+    # saw, so the table-driven GHASH would never run on the open side.
     from repro.crypto import recordcache
 
     was = recordcache.enabled()
@@ -98,37 +99,26 @@ def no_record_cache():
     4096, 16384, 16401, 65536,
 ])
 def test_vector_ghash_matches_scalar(size, no_record_cache):
-    from repro.crypto import _numpy as _vec
-
-    if not _vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; only the scalar path exists")
     key = bytes(range(32))
     iv = bytes(12)
     pt = bytes((i * 131 + 17) & 0xFF for i in range(size))
     aad = b"header" * 40
 
-    vec_box = AESGCM(key)
-    scalar_box = AESGCM(key)
-    scalar_box._vtables = False       # pin this instance to the scalar walk
-    sealed = vec_box.seal(iv, pt, aad)
-    assert sealed == scalar_box.seal(iv, pt, aad)
-    assert scalar_box.open(iv, sealed, aad) == pt
-    assert vec_box.open(iv, sealed, aad) == pt
+    sealed = AESGCM(key).seal(iv, pt, aad)
+    assert sealed == ReferenceAESGCM(key).seal(iv, pt, aad)
+    assert AESGCM(key).open(iv, sealed, aad) == pt
 
 
 def test_vector_ghash_mixed_sizes_share_tables(no_record_cache):
-    # One instance alternating below/above the threshold keeps a single
-    # running state machine; the vector tables must not leak between
-    # calls or depend on build order.
-    from repro.crypto import _numpy as _vec
-
-    if not _vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; only the scalar path exists")
+    # One instance alternating short and multi-KiB records keeps a single
+    # lazily built set of H tables; no output may depend on which size
+    # came first.
     key = bytes(16)
-    vec_box = AESGCM(key)
-    scalar_box = AESGCM(key)
-    scalar_box._vtables = False
+    box = AESGCM(key)
+    reference = ReferenceAESGCM(key)
     for n, size in enumerate([5, 4096, 17, 2048, 3000, 0, 8192]):
         iv = n.to_bytes(12, "big")
         pt = bytes((i + n) & 0xFF for i in range(size))
-        assert vec_box.seal(iv, pt) == scalar_box.seal(iv, pt)
+        sealed = box.seal(iv, pt)
+        assert sealed == reference.seal(iv, pt)
+        assert box.open(iv, sealed) == pt
