@@ -1,8 +1,20 @@
-"""Pure-Python cryptographic substrate for the Shadowsocks reproduction.
+"""Cryptographic substrate for the Shadowsocks reproduction.
 
-No third-party crypto libraries are used; everything is implemented from
-the specs (FIPS 197, SP 800-38D, RFC 8439, RFC 5869) and validated against
-published test vectors.
+No third-party crypto libraries are used.  The ciphers have three
+byte-identical backends behind ``new_aead``/``new_stream_cipher``,
+chosen by ``REPRO_CRYPTO`` (see :mod:`repro.crypto.backend`):
+
+* ``openssl`` (default when usable) — OpenSSL's EVP ciphers from the
+  libcrypto CPython's ``_hashlib`` already loaded, bound through
+  ``ctypes`` on first use (:mod:`repro.crypto.openssl`);
+* ``fast`` — pure Python, implemented from the specs (FIPS 197,
+  SP 800-38D, RFC 8439) and validated against published test vectors;
+  the fallback where the binding cannot load;
+* ``reference`` — the retained textbook originals, the test oracle.
+
+Key derivation (RFC 5869 HKDF-SHA1, EVP_BytesToKey) and RC4 are pure
+Python on every backend.  The classes exported here are the ``fast``
+ones.
 """
 
 from .aead import AESGCM, AuthenticationError, ChaCha20Poly1305, new_aead

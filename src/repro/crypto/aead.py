@@ -64,11 +64,13 @@ class ChaCha20Poly1305:
         return ChaCha20(self._key, nonce, counter=1).decrypt(ciphertext)
 
 
-# (impl-class, name, key) -> instance.  Both AEAD classes are stateless
+# (impl-class, name, key) -> instance.  Every AEAD class is stateless
 # per call — seal/open are pure functions of (nonce, message, aad); the
 # only instance attributes beyond the key are lazily built lookup tables
-# — so sessions deriving the same subkey (HKDF is memoized, and seeded
-# repeats re-derive the same salts) can share one object and its tables.
+# (pure Python) or the fetched cipher (OpenSSL, which keeps no native
+# context per instance) — so sessions deriving the same subkey (HKDF is
+# memoized, and seeded repeats re-derive the same salts) can share one
+# object and its tables.
 # Keyed on the impl class, so flipping REPRO_CRYPTO backends mid-process
 # can never hand back an instance from the other backend.
 _INSTANCE_CACHE: dict = {}
@@ -78,7 +80,8 @@ _INSTANCE_CACHE_MAX = 1 << 12
 def new_aead(name: str, key: bytes):
     """Construct (or reuse) an AEAD object by OpenSSL-style method name.
 
-    Honours the ``REPRO_CRYPTO`` backend switch (fast vs reference).
+    Honours the ``REPRO_CRYPTO`` backend switch (openssl, fast or
+    reference).
     """
     from .backend import aead_impls
 

@@ -1,12 +1,23 @@
-"""Crypto backend switch: optimized fast paths vs retained references.
+"""Crypto backend switch: OpenSSL, optimized pure Python, or references.
 
-The fast implementations are property-tested byte-identical to the
-references, so which backend a run uses is unobservable in its output —
-but keeping the originals wired in forever means equivalence stays
-testable and any suspected fast-path bug can be bisected by flipping one
-environment variable:
+Three interchangeable implementations sit behind the cipher factories
+(``new_aead``, ``new_stream_cipher``), all byte-identical by test:
 
-    REPRO_CRYPTO=reference python -m repro run shadowsocks ...
+* ``openssl``   — OpenSSL's EVP ciphers (:mod:`repro.crypto.openssl`),
+  bound through ctypes from the libcrypto CPython's ``_hashlib`` has
+  already loaded; standard library only.  ``rc4-md5`` stays pure Python.
+* ``fast``      — the optimized pure-Python implementations, the spec
+  and the fallback where no usable libcrypto exists.
+* ``reference`` — the retained originals (:mod:`repro.crypto._reference`),
+  the equivalence oracle.
+
+Which backend a run uses is unobservable in its output.  With
+``REPRO_CRYPTO`` unset the default is ``openssl`` when the binding
+loads and ``fast`` otherwise; an explicit ``REPRO_CRYPTO=openssl`` that
+cannot bind raises instead of falling back.  The binding is attempted
+on the first cipher construction, never at import time:
+
+    REPRO_CRYPTO=fast python -m repro run shadowsocks ...
 
 ``set_backend`` overrides the environment for the current process (used
 by the equivalence tests and ``repro bench --backend``).
@@ -21,12 +32,21 @@ from typing import Optional
 __all__ = ["BACKENDS", "current_backend", "set_backend",
            "stream_cipher_impls", "aead_impls"]
 
-BACKENDS = ("fast", "reference")
+BACKENDS = ("openssl", "fast", "reference")
 
 _override: Optional[str] = None
-
-
 _env_backend: Optional[str] = None
+
+
+def _openssl_loads() -> bool:
+    """Whether the OpenSSL binding is usable in this process."""
+    from . import openssl
+
+    try:
+        openssl.load()
+    except openssl.OpenSSLUnavailable:
+        return False
+    return True
 
 
 def current_backend() -> str:
@@ -41,19 +61,32 @@ def current_backend() -> str:
         return _override
     global _env_backend
     if _env_backend is None:
-        name = os.environ.get("REPRO_CRYPTO", "fast").strip().lower() or "fast"
-        if name not in BACKENDS:
+        name = os.environ.get("REPRO_CRYPTO", "").strip().lower()
+        if not name:
+            name = "openssl" if _openssl_loads() else "fast"
+        elif name not in BACKENDS:
             raise ValueError(
                 f"REPRO_CRYPTO must be one of {BACKENDS}, got {name!r}")
+        elif name == "openssl":
+            from . import openssl
+
+            openssl.load()  # an explicit request never falls back
         _env_backend = name
     return _env_backend
 
 
 def set_backend(name: Optional[str]) -> None:
-    """Force a backend for this process; ``None`` returns to the env var."""
+    """Force a backend for this process; ``None`` returns to the env var.
+
+    ``set_backend("openssl")`` raises if the binding cannot load.
+    """
     global _override
     if name is not None and name not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
+    if name == "openssl":
+        from . import openssl
+
+        openssl.load()
     _override = name
 
 
@@ -69,14 +102,21 @@ def aead_impls():
 
 @lru_cache(maxsize=None)
 def _stream_impls_for(name: str):
+    from .stream import RC4
+
     if name == "reference":
         from . import _reference as ref
 
         return (ref.ReferenceChaCha20DJB, ref.ReferenceChaCha20,
                 ref.ReferenceRC4, ref.ReferenceCTRMode, ref.ReferenceCFBMode)
+    if name == "openssl":
+        from . import openssl as ossl
+
+        return (ossl.ChaCha20DJB, ossl.ChaCha20, RC4, ossl.CTRMode,
+                ossl.CFBMode)
     from .chacha20 import ChaCha20
     from .modes import CFBMode, CTRMode
-    from .stream import RC4, ChaCha20DJB
+    from .stream import ChaCha20DJB
 
     return (ChaCha20DJB, ChaCha20, RC4, CTRMode, CFBMode)
 
@@ -87,6 +127,10 @@ def _aead_impls_for(name: str):
         from . import _reference as ref
 
         return (ref.ReferenceAESGCM, ref.ReferenceChaCha20Poly1305)
+    if name == "openssl":
+        from . import openssl as ossl
+
+        return (ossl.AESGCM, ossl.ChaCha20Poly1305)
     from .aead import ChaCha20Poly1305
     from .gcm import AESGCM
 

@@ -23,9 +23,10 @@ memo was never meant to absorb.  ``repro bench --suite crypto``
 additionally disables the memo outright for its measurement window, so
 reported primitive throughput always reflects real seal/open work.
 
-``REPRO_CRYPTO_CACHE=0`` disables the memo.  The reference backend
-never routes through it, so fast-vs-reference equivalence always
-compares real computations.
+``REPRO_CRYPTO_CACHE=0`` disables the memo.  The reference and the
+OpenSSL backends never route through it, so equivalence tests against
+them always compare real computations, and an OpenSSL ``open`` always
+verifies its tag.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ probes key on:
 * ``rc4-md5``       — 16-byte IV, RC4 keyed by MD5(key || IV)
 
 ``new_stream_cipher`` honours the ``REPRO_CRYPTO`` backend switch (see
-:mod:`repro.crypto.backend`): the default fast implementations, or the
-retained reference ones for equivalence testing.
+:mod:`repro.crypto.backend`): OpenSSL's EVP ciphers (the default when
+usable; RC4 stays on this module's class), these pure-Python ones, or
+the retained reference ones for equivalence testing.
 """
 
 from __future__ import annotations

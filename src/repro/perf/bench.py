@@ -11,7 +11,9 @@ covers every entry in :mod:`repro.perf.compare`.
 Timing discipline: each measurement runs ``repeats`` times and keeps the
 *best* wall-clock (the standard way to suppress scheduler noise for
 throughput numbers); buffers are deterministic pseudo-random bytes so
-runs are comparable across hosts and revisions.
+runs are comparable across hosts and revisions.  The crypto suite
+instead reports the median of ``repeats`` samples, each repeating its
+operation for at least ``CRYPTO_SAMPLE_FLOOR_S`` of wall time.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import gc
 import json
 import platform
 import random
+import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -172,6 +175,39 @@ def _best_of(fn: Callable[[], int], repeats: int) -> float:
     return best
 
 
+def _median_rates(fns: List[Callable[[], int]], samples: int,
+                  floor_s: float) -> List[float]:
+    """Median rate of each ``fn`` (returning work) over ``samples`` samples.
+
+    One sample calls ``fn`` back to back until at least ``floor_s`` of
+    wall time has passed and divides the summed work by the summed time,
+    so an operation of a few microseconds is timed over thousands of
+    calls instead of one.  Samples are taken round-robin — every ``fn``
+    once per round — so a host slowdown of a fraction of the run skews a
+    minority of each entry's samples, never all of one entry's.  GC
+    hygiene matches :func:`_best_of`.
+    """
+    rates: List[List[float]] = [[] for _ in fns]
+    for _ in range(max(1, samples)):
+        for fn, out in zip(fns, rates):
+            gc.collect()
+            was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                work = 0
+                start = time.perf_counter()
+                while True:
+                    work += fn()
+                    elapsed = time.perf_counter() - start
+                    if elapsed >= floor_s:
+                        break
+            finally:
+                if was_enabled:
+                    gc.enable()
+            out.append(work / elapsed)
+    return [statistics.median(r) for r in rates]
+
+
 def _best_of_staged(setup: Callable[[], object],
                     drive: Callable[[object], int], repeats: int) -> float:
     """Best rate of ``drive(setup())`` with only the drive on the clock.
@@ -221,7 +257,12 @@ def _stamp(entries: List[BenchEntry]) -> List[BenchEntry]:
 # ------------------------------------------------------------------ crypto
 
 
-def bench_crypto(*, size: int = 262144, repeats: int = 3,
+# Minimum wall time of one crypto sample: an OpenSSL call on a 32 KiB
+# buffer takes tens of microseconds, so one call alone times only noise.
+CRYPTO_SAMPLE_FLOOR_S = 0.05
+
+
+def bench_crypto(*, size: int = 262144, repeats: int = 5,
                  backend: Optional[str] = None,
                  only: Optional[str] = None,
                  progress: Optional[Callable[[str], None]] = None,
@@ -231,8 +272,12 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
     Stream ciphers report ``encrypt`` and ``decrypt`` MB/s; AEADs report
     ``seal`` and ``open`` MB/s (AEAD messages are sealed in 16 KiB
     chunks, the shape of Shadowsocks AEAD tunnel traffic at max payload).
-    ``backend`` pins the crypto backend for the measurement (``fast`` or
-    ``reference``); ``only`` substring-filters cipher names.
+    Each value is the median of ``repeats`` samples, each at least
+    ``CRYPTO_SAMPLE_FLOOR_S`` of back-to-back operations (see
+    :func:`_median_rates`).  ``backend`` pins the crypto backend for the
+    measurement (``openssl``, ``fast`` or ``reference``; default: the
+    process default) and is recorded in every entry's params; ``only``
+    substring-filters cipher names.
 
     The AEAD record memo is disabled for the duration: this suite reports
     primitive throughput, and 16 KiB chunks would otherwise become dict
@@ -245,62 +290,54 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
     rng = random.Random(0xBE7C4)
     data = rng.randbytes(size)
     entries: List[BenchEntry] = []
+    ops: List[Callable[[], int]] = []
     prev = current_backend()
     memo_was = recordcache.enabled()
     recordcache.set_enabled(False)
     set_backend(backend or prev)
+
+    def stream_op(name: str, key: bytes, iv: bytes, encrypt: bool):
+        def op() -> int:
+            new_stream_cipher(name, key, iv, encrypt).process(data)
+            return size
+        return op
+
+    def aead_op(name: str, key: bytes, nonce: bytes, pieces: list, seal: bool):
+        def op() -> int:
+            aead = new_aead(name, key)
+            run = aead.seal if seal else aead.open
+            for piece in pieces:
+                run(nonce, piece)
+            return size
+        return op
+
     try:
         bname = current_backend()
+        base = {"size": size, "backend": bname, "samples": repeats,
+                "floor_s": CRYPTO_SAMPLE_FLOOR_S}
         for spec in CIPHERS.values():
             if only and only not in spec.name:
                 continue
-            if progress:
-                progress(f"crypto: {spec.name} [{bname}]")
             key = rng.randbytes(spec.key_len)
-            params = {"size": size, "backend": bname}
             if spec.kind == CipherKind.STREAM:
                 iv = rng.randbytes(spec.iv_len)
-
-                def enc() -> int:
-                    cipher = new_stream_cipher(spec.name, key, iv, True)
-                    cipher.process(data)
-                    return size
-
-                def dec() -> int:
-                    cipher = new_stream_cipher(spec.name, key, iv, False)
-                    cipher.process(data)
-                    return size
-
-                for op, fn in (("encrypt", enc), ("decrypt", dec)):
+                for op, encrypt in (("encrypt", True), ("decrypt", False)):
                     entries.append(BenchEntry(
                         name=f"crypto.{spec.name}.{op}", unit="MB/s",
-                        value=_best_of(fn, repeats) / 1e6, params=dict(params)))
+                        value=0.0, params=dict(base)))
+                    ops.append(stream_op(spec.name, key, iv, encrypt))
             else:
                 nonce = rng.randbytes(12)
                 chunk = 16384
                 chunks = [data[i : i + chunk] for i in range(0, size, chunk)]
-                aead_params = dict(params, chunk=chunk)
-
-                def seal() -> int:
-                    aead = new_aead(spec.name, key)
-                    for piece in chunks:
-                        aead.seal(nonce, piece)
-                    return size
-
                 sealed = [new_aead(spec.name, key).seal(nonce, piece)
                           for piece in chunks]
-
-                def opener() -> int:
-                    aead = new_aead(spec.name, key)
-                    for piece in sealed:
-                        aead.open(nonce, piece)
-                    return size
-
-                for op, fn in (("seal", seal), ("open", opener)):
+                for op, pieces in (("seal", chunks), ("open", sealed)):
                     entries.append(BenchEntry(
                         name=f"crypto.{spec.name}.{op}", unit="MB/s",
-                        value=_best_of(fn, repeats) / 1e6,
-                        params=dict(aead_params)))
+                        value=0.0, params=dict(base, chunk=chunk)))
+                    ops.append(aead_op(spec.name, key, nonce, pieces,
+                                       op == "seal"))
         if not only or only in "cfb_encrypt":
             # Dedicated CFB-encrypt straggler entry (ARCHITECTURE
             # "Batched datapath"): CFB encryption is inherently
@@ -309,21 +346,17 @@ def bench_crypto(*, size: int = 262144, repeats: int = 3,
             # and is accepted as-is.  Tracked under its own name so
             # bench triage sees the acceptance instead of re-deriving
             # it from the per-cipher entries.
-            if progress:
-                progress(f"crypto: cfb_encrypt straggler [{bname}]")
-            cfb_key = rng.randbytes(16)
-            cfb_iv = rng.randbytes(16)
-
-            def cfb_enc() -> int:
-                cipher = new_stream_cipher("aes-128-cfb", cfb_key, cfb_iv, True)
-                cipher.process(data)
-                return size
-
             entries.append(BenchEntry(
-                name="crypto.cfb_encrypt", unit="MB/s",
-                value=_best_of(cfb_enc, repeats) / 1e6,
-                params={"size": size, "backend": bname,
-                        "cipher": "aes-128-cfb", "sequential": True}))
+                name="crypto.cfb_encrypt", unit="MB/s", value=0.0,
+                params=dict(base, cipher="aes-128-cfb", sequential=True)))
+            ops.append(stream_op("aes-128-cfb", rng.randbytes(16),
+                                 rng.randbytes(16), True))
+        if progress:
+            progress(f"crypto: {len(ops)} entries x {repeats} samples "
+                     f"of >= {CRYPTO_SAMPLE_FLOOR_S:g} s [{bname}]")
+        rates = _median_rates(ops, repeats, CRYPTO_SAMPLE_FLOOR_S)
+        for entry, rate in zip(entries, rates):
+            entry.value = rate / 1e6
     finally:
         set_backend(prev)
         recordcache.set_enabled(memo_was)

@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import functools
+import json
 import os
 import subprocess
 import sys
@@ -56,20 +58,47 @@ def test_quickstart_command(capsys):
     assert "flagged:" in out
 
 
-def test_quickstart_imports_no_numpy():
-    # The crypto substrate is pure Python by design; a fresh interpreter
-    # running a whole scenario must never pull numpy in, even where it is
-    # installed.
-    code = ("import sys\n"
+@functools.lru_cache(maxsize=None)
+def _fresh_quickstart():
+    """Run quickstart in a fresh interpreter; (crypto backend, modules).
+
+    ``modules`` are the optional third-party packages it imported.
+    """
+    code = ("import json, sys\n"
             "from repro.cli import main\n"
+            "from repro.crypto import current_backend\n"
             "assert main(['quickstart', '--connections', '8']) == 0\n"
-            "print('numpy-loaded' if 'numpy' in sys.modules else 'numpy-absent')\n")
+            "print(json.dumps([current_backend(), [m for m in "
+            "('numpy', 'cryptography') if m in sys.modules]]))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "numpy-absent"
+    backend, modules = json.loads(proc.stdout.splitlines()[-1])
+    return backend, modules
+
+
+def test_quickstart_imports_no_numpy():
+    # The crypto substrate needs no third-party package; a fresh
+    # interpreter running a whole scenario must never pull numpy in,
+    # even where it is installed.
+    assert "numpy" not in _fresh_quickstart()[1]
+
+
+def test_quickstart_imports_no_cryptography():
+    # The OpenSSL backend binds the libcrypto CPython already loaded,
+    # never the ``cryptography`` package (which bundles its own copy).
+    from repro.crypto import openssl
+
+    backend, modules = _fresh_quickstart()
+    assert "cryptography" not in modules
+    try:
+        openssl.load()
+        default = "openssl"
+    except openssl.OpenSSLUnavailable:
+        default = "fast"
+    assert backend == (os.environ.get("REPRO_CRYPTO") or default)
 
 
 def test_blocking_command(capsys):
